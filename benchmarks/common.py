@@ -1,10 +1,10 @@
 """Shared scaffolding for the reproduction benchmarks.
 
 Every benchmark regenerates one table or figure from the paper.  The
-models are CPU-scale stand-ins (see DESIGN.md §2), so absolute numbers
-differ from the H100 runs; each bench prints a paper-vs-measured
-comparison and asserts the *shape* of the result (who wins, rough
-factors, orderings).
+models are CPU-scale stand-ins (see the :mod:`repro.config` docstring),
+so absolute numbers differ from the H100 runs; each bench prints a
+paper-vs-measured comparison and asserts the *shape* of the result
+(who wins, rough factors, orderings).
 
 Conventions
 -----------

@@ -15,13 +15,13 @@ down to run in seconds, used by tests, examples and benchmarks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 __all__ = [
     "ModelConfig",
     "OptimConfig",
     "FedConfig",
-    "DataConfig",
     "WallTimeConfig",
     "PAPER_MODELS",
     "TINY_MODELS",
@@ -103,6 +103,12 @@ class OptimConfig:
     batch_size: int = 32
     betas: tuple[float, float] = (0.9, 0.95)
     eps: float = 1.0e-8
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.max_lr) or self.max_lr < 0:
+            raise ValueError(f"max_lr must be finite and >= 0, got {self.max_lr}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     @property
     def min_lr(self) -> float:
@@ -253,6 +259,8 @@ class FedConfig:
     metrics_every: int | None = None
 
     def __post_init__(self) -> None:
+        if self.local_steps < 1:
+            raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
         if self.clients_per_round > self.population:
             raise ValueError(
                 f"clients_per_round={self.clients_per_round} exceeds "
@@ -438,18 +446,6 @@ def _check_compression_spec(spec: str) -> None:
     from .compress.codec import make_codec
 
     make_codec(spec)
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    """Synthetic corpus configuration (C4/Pile substitutes)."""
-
-    corpus: str = "c4"
-    num_shards: int = 64
-    seq_len: int = 64
-    vocab: str = "char"
-    heterogeneity: float = 0.0
-    seed: int = 1234
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ drive the paper's aggregation analysis:
 
 from __future__ import annotations
 
-import networkx as nx
-
 __all__ = [
     "FederationTopology",
     "paper_topology",
@@ -45,6 +43,7 @@ class FederationTopology:
                  links_gbps: dict[tuple[str, str], float]):
         if len(set(regions)) != len(regions):
             raise ValueError("duplicate region names")
+        import networkx as nx  # deferred: it would dominate `import repro`
         self.graph = nx.Graph()
         self.graph.add_nodes_from(regions)
         for (a, b), bw in links_gbps.items():
@@ -120,6 +119,7 @@ class FederationTopology:
         """Maximum-bottleneck path bandwidth between two regions."""
         # Dijkstra variant on -min(bandwidth) via networkx's
         # widest-path trick: iterate paths by max bottleneck.
+        import networkx as nx
         best = 0.0
         for path in nx.all_simple_paths(self.graph, a, b):
             bw = min(self.bandwidth(u, v) for u, v in zip(path, path[1:]))

@@ -6,10 +6,10 @@ into plain arrays and decodes incrementally with per-block key/value
 caches, which is how the models are actually served (and what the
 downstream evaluation uses for long suites).
 
-The implementation is deliberately independent of the autograd graph;
-``tests/test_inference.py`` asserts bit-level agreement (to float32
-tolerance) with ``DecoderLM.forward`` on every architecture in the
-tiny family.
+The implementation is independent of the autograd graph but calls the
+same :mod:`repro.tensor.kernels`; ``TestInferenceEngine`` in
+``tests/test_lora_inference.py`` checks it against ``DecoderLM`` (logits
+to float32 tolerance, greedy generation token for token).
 
 Snapshot semantics: construction **copies** every weight array, so a
 model that keeps training (continual or personalization rounds) never
@@ -27,29 +27,12 @@ import math
 
 import numpy as np
 
+from ..tensor import kernels
 from .attention import alibi_slopes
 from .lora import LoRALinear
-from .transformer import DecoderLM
+from .transformer import DecoderLM, sample_token
 
 __all__ = ["InferenceEngine"]
-
-
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gamma + beta
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    c = math.sqrt(2.0 / math.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _causal_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -72,7 +55,7 @@ def _causal_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     else:
         bias = np.zeros((1, t_new, t_total), dtype=np.float32)
     scores = scores + np.where(relative[None, :, :] > 0, -1e9, bias)
-    weights = _softmax(scores.astype(np.float32))
+    weights = kernels.softmax(scores.astype(np.float32))
     return weights @ v  # (H, t_new, head_dim)
 
 
@@ -107,7 +90,28 @@ class _BlockWeights:
         self.down_w, self.down_b = _snapshot_linear(block.mlp.down)
 
 
-class InferenceEngine:
+class _DenseSnapshot:
+    """Copied weights of a dense :class:`DecoderLM`: the base of the
+    single-stream and the multi-adapter incremental decoders."""
+
+    def __init__(self, model: DecoderLM):
+        if any(not hasattr(block.attn, "qkv") for block in model.blocks):
+            raise ValueError(f"{type(self).__name__} requires standard dense blocks")
+        cfg = model.config
+        self.config = cfg
+        self.n_heads = cfg.n_heads
+        self.head_dim = cfg.head_dim
+        self.scale = 1.0 / math.sqrt(cfg.head_dim)
+        self.slopes = alibi_slopes(cfg.n_heads) if cfg.alibi else None
+        self.emb = model.tok_emb.weight.data.copy()
+        self.blocks = [_BlockWeights(b) for b in model.blocks]
+        self.ln_f_g = model.ln_f.gamma.data.copy()
+        self.ln_f_b = model.ln_f.beta.data.copy()
+        head = model.lm_head_weight if model.lm_head_weight is not None else model.tok_emb.weight
+        self.head = head.data.copy()
+
+
+class InferenceEngine(_DenseSnapshot):
     """Incremental decoder over a trained :class:`DecoderLM`.
 
     Not thread-safe (one KV cache per engine); create one engine per
@@ -115,23 +119,7 @@ class InferenceEngine:
     """
 
     def __init__(self, model: DecoderLM):
-        cfg = model.config
-        if any(not hasattr(block.attn, "qkv") for block in model.blocks):
-            raise ValueError("InferenceEngine requires standard dense blocks")
-        self.config = cfg
-        self.n_heads = cfg.n_heads
-        self.head_dim = cfg.head_dim
-        self.scale = 1.0 / math.sqrt(cfg.head_dim)
-        self.alibi = cfg.alibi
-        self.slopes = alibi_slopes(cfg.n_heads) if cfg.alibi else None
-
-        self.emb = model.tok_emb.weight.data.copy()
-        self.blocks = [_BlockWeights(b) for b in model.blocks]
-        self.ln_f_g = model.ln_f.gamma.data.copy()
-        self.ln_f_b = model.ln_f.beta.data.copy()
-        head = (model.lm_head_weight.data if model.lm_head_weight is not None
-                else model.tok_emb.weight.data)
-        self.head = head.copy()
+        super().__init__(model)
         self.reset()
 
     # ------------------------------------------------------------------
@@ -165,7 +153,7 @@ class InferenceEngine:
         x = self.emb[tokens]  # (t, d)
         t = x.shape[0]
         for layer, w in enumerate(self.blocks):
-            h = _layer_norm(x, w.ln1_g, w.ln1_b)
+            h = kernels.layer_norm(x, w.ln1_g, w.ln1_b)[0]
             qkv = h @ w.qkv_w + w.qkv_b  # (t, 3d)
             qkv = qkv.reshape(t, 3, self.n_heads, self.head_dim)
             q = qkv[:, 0].transpose(1, 0, 2)
@@ -174,9 +162,9 @@ class InferenceEngine:
             context = self._attend(layer, q, k, v)  # (H, t, hd)
             context = context.transpose(1, 0, 2).reshape(t, -1)
             x = x + context @ w.proj_w + w.proj_b
-            h = _layer_norm(x, w.ln2_g, w.ln2_b)
-            x = x + _gelu(h @ w.up_w + w.up_b) @ w.down_w + w.down_b
-        x = _layer_norm(x, self.ln_f_g, self.ln_f_b)
+            h = kernels.layer_norm(x, w.ln2_g, w.ln2_b)[0]
+            x = x + kernels.gelu(h @ w.up_w + w.up_b)[0] @ w.down_w + w.down_b
+        x = kernels.layer_norm(x, self.ln_f_g, self.ln_f_b)[0]
         self.position += t
         return x @ self.head.T
 
@@ -211,14 +199,7 @@ class InferenceEngine:
         budget = min(max_new_tokens, self.config.seq_len - len(tokens))
         logits = self.prefill(np.array(tokens))
         for _ in range(budget):
-            if temperature <= 0:
-                nxt = int(logits.argmax())
-            else:
-                scaled = logits / temperature
-                scaled -= scaled.max()
-                probs = np.exp(scaled)
-                probs /= probs.sum()
-                nxt = int(rng.choice(probs.size, p=probs))
+            nxt = sample_token(logits, temperature, rng)
             tokens.append(nxt)
             if len(tokens) >= self.config.seq_len:
                 break

@@ -13,12 +13,12 @@ import math
 import numpy as np
 
 from ..config import ModelConfig
-from ..tensor import Parameter, Tensor, no_grad, ops
+from ..tensor import Parameter, Tensor, kernels, no_grad, ops
 from .attention import CausalSelfAttention
 from .layers import Dropout, Embedding, LayerNorm, MLP
 from .module import Module
 
-__all__ = ["Block", "DecoderLM"]
+__all__ = ["Block", "DecoderLM", "sample_token"]
 
 
 class Block(Module):
@@ -116,8 +116,7 @@ class DecoderLM(Module):
             tokens = tokens[None, :]
         with no_grad():
             logits = self.forward(tokens).data
-        log_probs = logits - logits.max(axis=-1, keepdims=True)
-        log_probs = log_probs - np.log(np.exp(log_probs).sum(axis=-1, keepdims=True))
+        log_probs = kernels.log_softmax(logits)
         batch_idx = np.arange(tokens.shape[0])[:, None]
         pos_idx = np.arange(tokens.shape[1] - 1)[None, :]
         return log_probs[batch_idx, pos_idx, tokens[:, 1:]]
@@ -131,15 +130,21 @@ class DecoderLM(Module):
             window = np.array(tokens[-self.config.seq_len:])[None, :]
             with no_grad():
                 logits = self.forward(window).data[0, -1]
-            if temperature <= 0:
-                tokens.append(int(logits.argmax()))
-                continue
-            logits = logits / temperature
-            logits -= logits.max()
-            probs = np.exp(logits)
-            probs /= probs.sum()
-            tokens.append(int(rng.choice(len(probs), p=probs)))
+            tokens.append(sample_token(logits, temperature, rng))
         return np.array(tokens, dtype=np.int64)
+
+
+def sample_token(logits: np.ndarray, temperature: float,
+                 rng: np.random.Generator | None = None) -> int:
+    """Greedy at ``temperature<=0``, else a softmax sample from ``rng``.
+
+    Shared by every generate path; serving passes a per-request ``rng``
+    so batch composition never changes a request's output.
+    """
+    if temperature <= 0:
+        return int(logits.argmax())
+    probs = kernels.softmax(logits / temperature)
+    return int((rng or np.random.default_rng()).choice(probs.size, p=probs))
 
 
 class _BlockList(Module):

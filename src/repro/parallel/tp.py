@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from ..nn.inference import _gelu, _layer_norm, _softmax
 from ..nn.transformer import DecoderLM
+from ..tensor import kernels
 
 __all__ = ["split_columns", "split_rows", "TensorParallelEngine"]
 
@@ -131,7 +131,7 @@ class TensorParallelEngine:
         head_slice = slice(worker * self.heads_per_worker,
                            (worker + 1) * self.heads_per_worker)
         scores = (q @ k.transpose(0, 2, 1)) * self.scale + bias[head_slice]
-        context = _softmax(scores.astype(np.float32)) @ v
+        context = kernels.softmax(scores.astype(np.float32)) @ v
         context = context.transpose(1, 0, 2).reshape(t, -1)
         return context @ w["proj_w"]
 
@@ -143,21 +143,21 @@ class TensorParallelEngine:
         x = self.emb[tokens]
         bias = self._bias_fn(tokens.size)
         for shard in self._blocks:
-            h = _layer_norm(x, *shard["ln1"])
+            h = kernels.layer_norm(x, *shard["ln1"])[0]
             partials = [self._attention(shard, h, bias, w)
                         for w in range(self.n_workers)]
             self.allreduce_count += 1
             x = x + np.sum(partials, axis=0) + shard["proj_b"]
 
-            h = _layer_norm(x, *shard["ln2"])
+            h = kernels.layer_norm(x, *shard["ln2"])[0]
             mlp_partials = []
             for w in range(self.n_workers):
                 ws = shard["workers"][w]
-                hidden = _gelu(h @ ws["up_w"] + ws["up_b"])
+                hidden = kernels.gelu(h @ ws["up_w"] + ws["up_b"])[0]
                 mlp_partials.append(hidden @ ws["down_w"])
             self.allreduce_count += 1
             x = x + np.sum(mlp_partials, axis=0) + shard["down_b"]
-        x = _layer_norm(x, *self.ln_f)
+        x = kernels.layer_norm(x, *self.ln_f)[0]
         return x @ self.head.T
 
     # ------------------------------------------------------------------

@@ -26,15 +26,13 @@ base.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..nn.attention import alibi_slopes
-from ..nn.inference import _BlockWeights, _causal_attend, _gelu, _layer_norm
+from ..nn.inference import _DenseSnapshot, _causal_attend
 from ..nn.lora import LoRALinear, _iter_linear_slots
-from ..nn.transformer import DecoderLM
+from ..nn.transformer import DecoderLM, sample_token
 from ..obs.trace import NULL_TRACER
+from ..tensor import kernels
 from .adapters import Adapter
 
 __all__ = ["MultiAdapterEngine", "StaleAdapterError", "sample_token"]
@@ -42,25 +40,6 @@ __all__ = ["MultiAdapterEngine", "StaleAdapterError", "sample_token"]
 
 class StaleAdapterError(ValueError):
     """An adapter's base version does not match the serving base."""
-
-
-def sample_token(logits: np.ndarray, temperature: float,
-                 rng: np.random.Generator | None = None) -> int:
-    """Greedy at ``temperature<=0``, else a softmax sample from ``rng``.
-
-    Matches :meth:`DecoderLM.generate` semantics; callers that sample
-    should pass a per-request generator so batch composition never
-    changes a request's output.
-    """
-    if temperature <= 0:
-        return int(logits.argmax())
-    if rng is None:
-        rng = np.random.default_rng()
-    scaled = logits / temperature
-    scaled = scaled - scaled.max()
-    probs = np.exp(scaled)
-    probs /= probs.sum()
-    return int(rng.choice(probs.size, p=probs))
 
 
 class _Stream:
@@ -79,7 +58,7 @@ class _Stream:
         self.position = 0
 
 
-class MultiAdapterEngine:
+class MultiAdapterEngine(_DenseSnapshot):
     """K-stream incremental decoder over one global-model snapshot.
 
     Construction **copies** the model's weights (same snapshot
@@ -92,31 +71,16 @@ class MultiAdapterEngine:
                  max_streams: int = 8, tracer=None):
         if max_streams < 1:
             raise ValueError("max_streams must be >= 1")
-        if any(not hasattr(block.attn, "qkv") for block in model.blocks):
-            raise ValueError("MultiAdapterEngine requires standard dense blocks")
+        super().__init__(model)
         if any(isinstance(getattr(owner, name), LoRALinear)
                for owner, name in _iter_linear_slots(model)):
             raise ValueError(
                 "serve the dense global model; per-tenant adapters are "
                 "passed per request, not applied to the base"
             )
-        cfg = model.config
-        self.config = cfg
         self.base_version = int(base_version)
         self.max_streams = int(max_streams)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.n_heads = cfg.n_heads
-        self.head_dim = cfg.head_dim
-        self.scale = 1.0 / math.sqrt(cfg.head_dim)
-        self.slopes = alibi_slopes(cfg.n_heads) if cfg.alibi else None
-
-        self.emb = model.tok_emb.weight.data.copy()
-        self.blocks = [_BlockWeights(b) for b in model.blocks]
-        self.ln_f_g = model.ln_f.gamma.data.copy()
-        self.ln_f_b = model.ln_f.beta.data.copy()
-        head = (model.lm_head_weight.data if model.lm_head_weight is not None
-                else model.tok_emb.weight.data)
-        self.head = head.copy()
         self._streams: dict[str, _Stream] = {}
 
     # ------------------------------------------------------------------
@@ -217,7 +181,7 @@ class MultiAdapterEngine:
 
         heads, head_dim = self.n_heads, self.head_dim
         for layer, w in enumerate(self.blocks):
-            h = _layer_norm(x, w.ln1_g, w.ln1_b)
+            h = kernels.layer_norm(x, w.ln1_g, w.ln1_b)[0]
             qkv = h @ w.qkv_w + w.qkv_b
             self._apply_adapters(h, qkv, groups, 4 * layer)
             context = np.empty_like(x)
@@ -235,15 +199,15 @@ class MultiAdapterEngine:
             proj = context @ w.proj_w + w.proj_b
             self._apply_adapters(context, proj, groups, 4 * layer + 1)
             x = x + proj
-            h = _layer_norm(x, w.ln2_g, w.ln2_b)
+            h = kernels.layer_norm(x, w.ln2_g, w.ln2_b)[0]
             up = h @ w.up_w + w.up_b
             self._apply_adapters(h, up, groups, 4 * layer + 2)
-            gated = _gelu(up)
+            gated = kernels.gelu(up)[0]
             down = gated @ w.down_w + w.down_b
             self._apply_adapters(gated, down, groups, 4 * layer + 3)
             x = x + down
 
-        x = _layer_norm(x, self.ln_f_g, self.ln_f_b)
+        x = kernels.layer_norm(x, self.ln_f_g, self.ln_f_b)[0]
         for stream, length in zip(streams, lengths):
             stream.position += length
         last_rows = x[[sl.stop - 1 for sl in slices]]

@@ -22,10 +22,11 @@ Design notes
 from __future__ import annotations
 
 import contextlib
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from . import kernels
 
 __all__ = [
     "Tensor",
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 _GRAD_ENABLED: bool = True
+# Basic-index components: they select a view, never one element twice.
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
 
 
 @contextlib.contextmanager
@@ -371,10 +374,17 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
         original_shape = self.shape
+        # For a basic index an in-place add equals np.add.at bit for bit.
+        items = index if isinstance(index, tuple) else (index,)
+        basic = all(isinstance(i, _BASIC_INDEX) and not isinstance(i, bool)
+                    for i in items)
 
         def backward(grad):
             full = np.zeros(original_shape, dtype=np.float32)
-            np.add.at(full, index, grad)
+            if basic:
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             return (full,)
 
         return Tensor._make(out_data, (self,), backward)
@@ -457,13 +467,10 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """GELU with the tanh approximation used by MPT/GPT models."""
         x = self.data
-        c = math.sqrt(2.0 / math.pi)
-        inner = c * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
+        out_data, t = kernels.gelu(x)
 
         def backward(grad):
-            dinner = c * (1.0 + 3 * 0.044715 * x**2)
+            dinner = kernels.GELU_C * (1.0 + 3 * 0.044715 * x**2)
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
             return (grad * local.astype(np.float32),)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .autograd import Tensor, unbroadcast
 
 __all__ = [
@@ -26,9 +27,7 @@ __all__ = [
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out_data = kernels.softmax(x.data, axis=axis)
 
     def backward(grad):
         # dL/dx = s * (g - sum(g * s))
@@ -39,9 +38,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_z
+    out_data = kernels.log_softmax(x.data, axis=axis)
     soft = np.exp(out_data)
 
     def backward(grad):
@@ -72,9 +69,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100)
     if n_valid == 0:
         raise ValueError("cross_entropy received no valid targets")
 
-    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
+    log_probs = kernels.log_softmax(flat_logits)
 
     rows = np.arange(flat_targets.shape[0])
     safe_targets = np.where(valid, flat_targets, 0)
@@ -122,9 +117,7 @@ def batched_cross_entropy(logits: Tensor, targets: np.ndarray,
         raise ValueError("batched_cross_entropy received a model with no "
                          "valid targets")
 
-    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
+    log_probs = kernels.log_softmax(flat_logits)
 
     models = np.arange(k)[:, None]
     rows = np.arange(flat_targets.shape[1])[None, :]
@@ -147,12 +140,7 @@ def batched_cross_entropy(logits: Tensor, targets: np.ndarray,
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with affine parameters."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_std
-    out_data = x_hat * gamma.data + beta.data
+    out_data, x_hat, inv_std = kernels.layer_norm(x.data, gamma.data, beta.data, eps)
 
     def backward(grad):
         dg = unbroadcast(grad * x_hat, gamma.shape)

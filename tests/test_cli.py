@@ -135,6 +135,14 @@ class TestUsageErrors:
         self.expect_error(["train", "--straggler-spread", "0.5"], capsys,
                           "client_speed_spread")
 
+    def test_zero_local_steps(self, capsys):
+        self.expect_error(["train", "--local-steps", "0"], capsys,
+                          "local_steps must be >= 1")
+
+    def test_nan_max_lr(self, capsys):
+        self.expect_error(["train", "--max-lr", "nan"], capsys,
+                          "max_lr must be finite")
+
     def test_impossible_deadline(self, capsys):
         # Unit clock (no --walltime): every cycle costs 1 simulated
         # second, so a 0.5 s deadline can never admit an update.

@@ -143,3 +143,23 @@ class TestConfigBehaviour:
         assert cfg.betas == (0.9, 0.95)
         assert cfg.weight_decay == 0.1
         assert cfg.grad_clip == 1.0
+
+
+class TestTrainingArgumentValidation:
+    """Bad training arguments fail at construction, not mid-run."""
+
+    @pytest.mark.parametrize("max_lr", [float("nan"), float("inf"), -1e-3])
+    def test_optim_rejects_bad_max_lr(self, max_lr):
+        with pytest.raises(ValueError, match="max_lr"):
+            OptimConfig(max_lr=max_lr)
+
+    def test_optim_accepts_zero_max_lr(self):
+        assert OptimConfig(max_lr=0.0).min_lr == 0.0
+
+    def test_optim_rejects_empty_batch(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            OptimConfig(batch_size=0)
+
+    def test_fed_rejects_zero_local_steps(self):
+        with pytest.raises(ValueError, match="local_steps"):
+            FedConfig(local_steps=0)

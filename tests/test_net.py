@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.config import WallTimeConfig
 from repro.net import (
     CommTopology,
@@ -230,3 +236,15 @@ class TestCommVolume:
         factor = reduction_factor(model_bytes, tau * 4, tau, workers)
         smaller = reduction_factor(model_bytes, smaller_tau * 4, smaller_tau, workers)
         assert factor >= smaller
+
+
+def test_import_repro_does_not_load_networkx():
+    """networkx is only needed for topology analysis, so it stays off
+    the ``import repro`` path that every training and serving run pays."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, repro; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
