@@ -3,19 +3,22 @@
 Section 4: "Link provides an extensible post-processing pipeline by
 leveraging model compression ... By default, Photon uses lossless
 compression techniques without pruning."  This ablation measures the
-payload sizes and convergence impact of the three Link modes on the
-same federated run:
+payload sizes and convergence impact of the Link's transport modes on
+the same federated run:
 
-* raw (no compression),
+* raw (uncompressed float32 — the lossless run's raw-volume meters),
 * zlib (the lossless default),
-* int8 quantization + zlib (lossy, ~4x smaller).
+* int8 quantization + zlib (``make_codec("int8")`` on uplink and
+  downlink; lossy, ~4x smaller).
 
-Shape asserted: zlib <= raw payloads; int8 < half of raw; all three
-runs converge, with the lossy run within 15% of the lossless one.
+Shape asserted: zlib <= raw payloads; int8 < half of raw; both
+training runs converge, with the lossy run within 15% of the lossless
+one.
 """
 
 from __future__ import annotations
 
+from repro.compress import make_codec
 from repro.config import FedConfig, OptimConfig
 from repro.fed import Link, Photon
 
@@ -25,16 +28,18 @@ N_CLIENTS = 2
 LOCAL_STEPS = 8
 ROUNDS = 6
 
-MODES = {
-    "raw": dict(compress=False),
-    "zlib": dict(compress=True),
-    "int8+zlib": dict(compress=True, quantize_int8=True),
-}
+
+def _int8_link() -> Link:
+    codec = make_codec("int8")
+    return Link(uplink_codec=codec, downlink_codec=codec)
+
+
+LINKS = {"zlib": Link, "int8+zlib": _int8_link}
 
 
 def run_modes() -> dict[str, dict]:
     results = {}
-    for name, link_kwargs in MODES.items():
+    for name, make_link in LINKS.items():
         optim = OptimConfig(max_lr=4e-3, warmup_steps=4,
                             schedule_steps=ROUNDS * LOCAL_STEPS,
                             batch_size=4, weight_decay=0.0)
@@ -44,20 +49,25 @@ def run_modes() -> dict[str, dict]:
                       local_steps=LOCAL_STEPS, rounds=ROUNDS),
             optim, data_seed=3,
         )
-        photon.aggregator.link = Link(**link_kwargs)
+        link = photon.aggregator.link = make_link()
         history = photon.train()
         results[name] = {
             "ppl": history.val_perplexities,
             "bytes": history.total_comm_bytes,
         }
+        if name == "zlib":
+            results["raw"] = {
+                "ppl": history.val_perplexities,
+                "bytes": link.raw_bytes_sent + link.raw_bytes_received,
+            }
     return results
 
 
 def test_ablation_link_compression(run_once):
     results = run_once(run_modes)
 
-    rows = [[name, f"{r['bytes']:,}", f"{r['ppl'][-1]:.2f}"]
-            for name, r in results.items()]
+    rows = [[name, f"{results[name]['bytes']:,}", f"{results[name]['ppl'][-1]:.2f}"]
+            for name in ("raw", "zlib", "int8+zlib")]
     print_table("Ablation: Link payload modes",
                 ["Mode", "Total bytes", "Final PPL"], rows)
 

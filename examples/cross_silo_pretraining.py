@@ -96,7 +96,7 @@ def main() -> None:
             clients=clients,
             server_opt=FedAvg(lr=1.0),
             val_stream=val,
-            link=Link(compress=True),
+            link=Link(),
             checkpointer=CheckpointManager(ckpt_dir, keep=3),
             walltime=walltime,
             comm_topology="rar",

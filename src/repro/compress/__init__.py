@@ -4,8 +4,8 @@ The subsystem the Link plugs in for lossy pseudo-gradient transport:
 quantization (fp16/int8/int4, stochastic rounding) and sparsification
 (top-k/rand-k) stages composed behind the lossless zlib container,
 with per-client error-feedback memory so biased codecs stay
-convergent.  ``make_codec("none")`` returns ``None`` — the untouched
-lossless path — so existing behavior is byte-exact by default.
+convergent.  ``make_codec("none")`` returns ``None`` — the Link's
+lossless default, the same container over float32 arrays.
 """
 
 from .codec import (

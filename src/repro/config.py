@@ -150,8 +150,8 @@ class FedConfig:
     noisier than racked ones (0 = deterministic clock, bit-exact).
 
     Compression knobs: ``compression`` names a lossy update codec from
-    :mod:`repro.compress` (``"none"`` keeps the paper's lossless zlib
-    byte-exactly; ``"fp16"``, ``"int8"``, ``"int4"``,
+    :mod:`repro.compress` (``"none"`` keeps the paper's lossless zlib:
+    the shared wire container at level 1; ``"fp16"``, ``"int8"``, ``"int4"``,
     ``"topk:<frac>"``, ``"randk:<frac>"``, chained with ``+``) applied
     to client → server pseudo-gradient uploads; ``error_feedback``
     keeps a per-client EF residual so biased codecs stay convergent;

@@ -5,8 +5,8 @@ component serializes into a RunState artifact and a resumed run
 replays bit-exactly.  This module takes the carried-over follow-up to
 its production conclusion (ROADMAP item 3): the root server streams
 the same versioned state tree to standby **replicas over the wire**
-(:meth:`Link.send_blob` — dtype-exact, metered like any other
-payload), a seeded :class:`FailureModel` kills the server at a round
+(:meth:`Link.send_blob`, in the shared dtype-preserving container of
+:mod:`repro.utils.serialization`, metered like any other payload), a seeded :class:`FailureModel` kills the server at a round
 boundary, and a surviving replica **promotes** with bounded staleness:
 
     updates lost per crash ≤ replicate_every (= 1 by default, i.e.
@@ -30,13 +30,12 @@ scripted crash fires exactly once).
 
 from __future__ import annotations
 
-import io
 import json
 import time
-import zlib
 
 import numpy as np
 
+from ..utils.serialization import decode_state, encode_state, pack_arrays
 from .faults import FailureModel
 from .link import Link
 from .runstate import pack_tree, unpack_tree
@@ -45,33 +44,29 @@ __all__ = ["ReplicaSet", "FailoverController",
            "serialize_tree", "deserialize_tree"]
 
 
+# Container entry holding the JSON structure document; pack_tree names
+# its arrays "a<i>", so this name never collides.
+_STRUCTURE = "structure"
+
+
 def serialize_tree(tree) -> tuple[bytes, int]:
     """Pack a state tree into one dtype-preserving wire payload.
 
-    Returns ``(payload, raw_nbytes)`` — the zlib-compressed container
-    and its uncompressed size (for the Link's raw-volume column).
-    ``encode_state`` is unusable here: it casts every array to
-    float32, which would corrupt the tree's int64 counters and RNG
-    pool bytes.
+    Returns ``(payload, raw_nbytes)`` — the container and its
+    uncompressed (packed) size, for the Link's raw-volume column.
     """
     arrays, structure = pack_tree(tree)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    blob = buffer.getvalue()
-    doc = json.dumps(structure).encode()
-    container = len(doc).to_bytes(8, "big") + doc + blob
-    return zlib.compress(container, 1), len(container)
+    arrays[_STRUCTURE] = np.frombuffer(json.dumps(structure).encode(),
+                                       dtype=np.uint8)
+    return encode_state(arrays), len(pack_arrays(arrays))
 
 
 def deserialize_tree(payload: bytes):
-    """Inverse of :func:`serialize_tree`.  ``np.load`` materializes
-    fresh arrays, so the result shares no memory with the engine that
+    """Inverse of :func:`serialize_tree`.  Decoded arrays are fresh
+    copies, so the result shares no memory with the engine that
     produced the snapshot."""
-    container = zlib.decompress(payload)
-    doc_len = int.from_bytes(container[:8], "big")
-    structure = json.loads(container[8:8 + doc_len].decode())
-    with np.load(io.BytesIO(container[8 + doc_len:]), allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
+    arrays = decode_state(payload)
+    structure = json.loads(arrays.pop(_STRUCTURE).tobytes())
     return unpack_tree(structure, arrays)
 
 

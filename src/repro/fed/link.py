@@ -2,7 +2,9 @@
 
 Responsibilities reproduced from the paper:
 
-* serialize model payloads with lossless compression (default zlib);
+* serialize model payloads with lossless compression (default zlib,
+  in the dtype-preserving container of
+  :mod:`repro.utils.serialization`);
 * carry metadata (round instructions, metrics) alongside parameters;
 * count every byte in both directions so experiments can report
   communication volume exactly;
@@ -13,10 +15,10 @@ Responsibilities reproduced from the paper:
 Beyond the paper's lossless default, the Link accepts pluggable lossy
 codecs from :mod:`repro.compress`: ``uplink_codec`` compresses client
 → server pseudo-gradients, ``downlink_codec`` optionally compresses
-the server broadcast.  Alongside the wire counters the Link tracks the
-**raw** (uncompressed float32) volume of every payload, so reports can
-state exactly what the codec saved.  With no codecs configured the
-original byte stream is reproduced bit-exactly.
+the server broadcast.  Both ride the same container as the lossless
+default.  Alongside the wire counters the Link tracks the **raw**
+(uncompressed float32) volume of every payload, so reports can state
+exactly what the codec saved.
 
 Encryption itself (TLS) is connection-level and contributes nothing
 to the math, so it is represented by a flag on the channel.
@@ -25,6 +27,7 @@ to the math, so it is represented by a flag on the channel.
 from __future__ import annotations
 
 import threading
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,17 +62,13 @@ class Link:
 
     METADATA_OVERHEAD = 256  # bytes budgeted for the message envelope
 
-    def __init__(self, compress: bool = True, tls: bool = True,
-                 compression_level: int = 1, quantize_int8: bool = False,
+    def __init__(self, tls: bool = True,
                  uplink_codec: Codec | None = None,
                  downlink_codec: Codec | None = None):
-        self.compress = compress
         self.tls = tls
-        self.compression_level = compression_level
-        self.quantize_int8 = quantize_int8
         # Lossy transport (repro.compress): client→server uploads ride
         # the uplink codec, server broadcasts the downlink codec; None
-        # keeps the legacy lossless path byte-exactly.
+        # is the lossless float32 default.
         self.uplink_codec = uplink_codec
         self.downlink_codec = downlink_codec
         self.bytes_sent = 0
@@ -100,37 +99,24 @@ class Link:
                    metadata: dict | None = None) -> Message:
         codec = self._codec_for(sender)
         if codec is None:
-            payload = encode_state(state, compress=self.compress,
-                                   level=self.compression_level,
-                                   quantize_int8=self.quantize_int8)
+            # Level 1, not the codecs' 6: on fp32 weights level 6 is
+            # under 0.5% smaller but about 15% slower to encode.
+            payload = encode_state(
+                {k: np.asarray(v, dtype=np.float32) for k, v in state.items()}, 1)
         else:
             payload = codec.encode(state, sender=sender, receiver=receiver)
-        message = Message(sender, receiver, payload, metadata or {})
-        raw = state_bytes(state) + self.METADATA_OVERHEAD
-        wire = message.nbytes + self.METADATA_OVERHEAD
-        with self._lock:
-            self.bytes_sent += wire
-            self.raw_bytes_sent += raw
-            if sender == "agg":
-                self.downlink_wire_bytes += wire
-                self.downlink_raw_bytes += raw
-            else:
-                self.uplink_wire_bytes += wire
-                self.uplink_raw_bytes += raw
-            self.messages_sent += 1
-        return message
+        return self.send_blob(payload, sender, receiver, metadata,
+                              raw_nbytes=state_bytes(state))
 
     def send_blob(self, payload: bytes, sender: str, receiver: str,
                   metadata: dict | None = None,
                   raw_nbytes: int | None = None) -> Message:
-        """Ship an opaque byte payload with the usual metering.
+        """Ship a serialized payload with the usual metering.
 
-        Used for artifacts that must survive the wire dtype-exactly
-        (packed ``RunState`` trees carry int64 counters and RNG pool
-        bytes, which ``encode_state`` would cast to float32).  The
-        caller owns serialization; the Link only meters.  ``raw_nbytes``
-        is the pre-compression size for the raw-volume column
-        (defaults to the payload size).
+        ``send_state`` serializes state dicts through here; other
+        artifacts (packed ``RunState`` trees) arrive already
+        serialized.  ``raw_nbytes`` is the pre-compression size for
+        the raw-volume column (defaults to the payload size).
         """
         message = Message(sender, receiver, payload, metadata or {})
         raw = (len(payload) if raw_nbytes is None else raw_nbytes) + self.METADATA_OVERHEAD
@@ -159,9 +145,7 @@ class Link:
         codec = self._codec_for(message.sender)
         state = (decode_state(message.payload) if codec is None
                  else codec.decode(message.payload))
-        with self._lock:
-            self.bytes_received += message.nbytes + self.METADATA_OVERHEAD
-            self.raw_bytes_received += state_bytes(state) + self.METADATA_OVERHEAD
+        self.recv_blob(message, raw_nbytes=state_bytes(state))
         return state, message.metadata
 
     _COUNTER_FIELDS = (
@@ -192,15 +176,8 @@ class Link:
             self.downlink_codec.load_state_dict(state["downlink_codec"])
 
     def reset_counters(self) -> None:
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.raw_bytes_sent = 0
-        self.raw_bytes_received = 0
-        self.uplink_wire_bytes = 0
-        self.uplink_raw_bytes = 0
-        self.downlink_wire_bytes = 0
-        self.downlink_raw_bytes = 0
-        self.messages_sent = 0
+        for f in self._COUNTER_FIELDS:
+            setattr(self, f, 0)
 
 
 class SecureAggregator:
@@ -223,8 +200,9 @@ class SecureAggregator:
 
     def _pair_rng(self, a: str, b: str) -> np.random.Generator:
         lo, hi = sorted((a, b))
-        pair_seed = abs(hash((self.seed, lo, hi))) % (2**32)
-        return np.random.default_rng(pair_seed)
+        # crc32, not hash(): str hashes are salted per process, and
+        # both ends of a pair must derive the same mask.
+        return np.random.default_rng(zlib.crc32(repr((self.seed, lo, hi)).encode()))
 
     def mask(self, client_id: str, state: StateDict) -> StateDict:
         """Return ``state`` plus this client's net pairwise mask."""

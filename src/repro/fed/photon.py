@@ -144,7 +144,8 @@ class Photon:
     names a :mod:`repro.compress` codec for the pseudo-gradient
     upload (``error_feedback`` keeps per-client EF residuals,
     ``compress_broadcast`` also compresses the server broadcast);
-    ``"none"`` is the paper's lossless zlib, byte-exact.
+    ``"none"`` is the paper's lossless zlib (the shared wire container
+    at level 1).
 
     Hierarchy & failover ride on ``fed_config`` as well: ``tiers``
     inserts region-level edge aggregators between the clients and the
@@ -372,7 +373,7 @@ class Photon:
         )
         # Lossy update transport (repro.compress): uploads always ride
         # the codec, the broadcast only when asked; "none" keeps the
-        # legacy lossless Link byte-exactly (codec is None).
+        # lossless Link default (codec is None).
         codec = make_codec(fed_config.compression, seed=fed_config.seed)
         error_feedback = (
             ErrorFeedback(staleness_gamma=fed_config.ef_staleness_gamma)

@@ -1,26 +1,31 @@
-"""Parameter (de)serialization shared by Link and checkpoints.
+"""Parameter (de)serialization shared by Link, codecs and failover.
 
 State dicts travel between Photon components in two forms:
 
 * flat ``float32`` vectors — for arithmetic (averaging, masking,
   pseudo-gradients) and for the FSDP parameter sharding;
-* compressed byte payloads — what the Link actually "transmits",
-  enabling exact accounting of communication volume.  The default is
-  lossless zlib per the paper ("Photon uses lossless compression
-  techniques without pruning").
+* byte payloads — what the Link actually "transmits", enabling exact
+  accounting of communication volume.  One dtype-preserving container,
+  ``MAGIC + zlib(pack_arrays(arrays))``, carries the lossless Link
+  default (the paper's "lossless compression techniques without
+  pruning"), every :mod:`repro.compress` codec and failover's RunState
+  trees; :func:`decode_state` rejects a corrupt payload.
 """
 
 from __future__ import annotations
 
-import io
+import math
+import struct
 import zlib
 
 import numpy as np
 
 __all__ = [
+    "MAGIC",
     "state_to_vector",
     "vector_to_state",
     "state_bytes",
+    "pack_arrays",
     "encode_state",
     "decode_state",
     "tree_map",
@@ -33,6 +38,9 @@ __all__ = [
 ]
 
 StateDict = dict[str, np.ndarray]
+
+#: The one wire framing: 4-byte magic, then a zlib stream.
+MAGIC = b"CPX1"
 
 
 def state_to_vector(state: StateDict) -> np.ndarray:
@@ -65,59 +73,87 @@ def state_bytes(state: StateDict, bytes_per_param: int = 4) -> int:
     return bytes_per_param * sum(np.asarray(v).size for v in state.values())
 
 
-def encode_state(state: StateDict, compress: bool = True, level: int = 1,
-                 quantize_int8: bool = False) -> bytes:
-    """Serialize a state dict to bytes.
-
-    ``compress`` applies lossless zlib (the paper's default Link
-    behaviour).  ``quantize_int8`` applies symmetric per-tensor int8
-    quantization first — the lossy compression hook Section 4 leaves
-    open ("model compression and pruning techniques"); payloads shrink
-    ~4× at a small reconstruction error (bounded by scale/2 per
-    element).
+def pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
+    """Compact array container: ``[count | per-array (name, dtype,
+    shape, data)]``.  npz spends ~230 bytes of zip/npy headers per
+    entry, which at small payload sizes erases exactly the margin a
+    1-byte-per-element codec fights for; this framing spends ~40.
     """
-    buffer = io.BytesIO()
-    if quantize_int8:
-        arrays: dict[str, np.ndarray] = {}
-        for key, value in state.items():
-            value = np.asarray(value, dtype=np.float32)
-            scale = float(np.abs(value).max()) / 127.0 if value.size else 0.0
-            if scale == 0.0:
-                quantized = np.zeros(value.shape, dtype=np.int8)
-                scale = 1.0
-            else:
-                quantized = np.clip(np.round(value / scale), -127, 127).astype(np.int8)
-            arrays[f"{key}::q"] = quantized
-            arrays[f"{key}::s"] = np.float32(scale)
-        np.savez(buffer, **arrays)
-        raw = buffer.getvalue()
-        magic = b"Q8Z0" if compress else b"Q8R0"
-        return magic + (zlib.compress(raw, level) if compress else raw)
-    np.savez(buffer, **{k: np.asarray(v, dtype=np.float32) for k, v in state.items()})
-    raw = buffer.getvalue()
-    if not compress:
-        return b"RAW0" + raw
-    return b"ZLB0" + zlib.compress(raw, level)
+    parts = [struct.pack("<I", len(arrays))]
+    for name, array in arrays.items():
+        array = np.asarray(array)
+        if not array.flags["C_CONTIGUOUS"]:
+            # (0-d arrays are always contiguous, so this never runs
+            # np.ascontiguousarray's 0-d -> 1-d promotion.)
+            array = np.ascontiguousarray(array)
+        name_b = name.encode()
+        dtype_b = array.dtype.str.encode()
+        parts += [struct.pack("<H", len(name_b)), name_b,
+                  struct.pack("<B", len(dtype_b)), dtype_b,
+                  struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape),
+                  array.tobytes()]
+    return b"".join(parts)
+
+
+def _unpack_arrays(body: bytes) -> dict[str, np.ndarray]:
+    """Inverse of :func:`pack_arrays`; every array is a fresh,
+    writable copy.  A body that does not parse exactly raises
+    ``ValueError``."""
+    arrays: dict[str, np.ndarray] = {}
+    try:
+        (count,), offset = struct.unpack_from("<I", body), 4
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", body, offset)
+            offset += 2
+            name = body[offset:offset + name_len].decode()
+            offset += name_len
+            (dtype_len,) = struct.unpack_from("<B", body, offset)
+            offset += 1
+            dtype = np.dtype(body[offset:offset + dtype_len].decode())
+            offset += dtype_len
+            (ndim,) = struct.unpack_from("<B", body, offset)
+            offset += 1
+            shape = struct.unpack_from(f"<{ndim}I", body, offset)
+            offset += 4 * ndim
+            if dtype.hasobject:
+                raise ValueError(f"array {name!r} has object dtype")
+            size = math.prod(shape)
+            if offset + size * dtype.itemsize > len(body):
+                raise ValueError(f"array {name!r} overruns the payload body")
+            arrays[name] = np.frombuffer(
+                body, dtype=dtype, count=size, offset=offset,
+            ).reshape(shape).copy()
+            offset += size * dtype.itemsize
+    except (struct.error, UnicodeDecodeError, TypeError) as exc:
+        raise ValueError(f"corrupt payload body: {exc}") from None
+    if offset != len(body):
+        raise ValueError(
+            f"corrupt payload body: {len(body) - offset} bytes after the last array")
+    return arrays
+
+
+def encode_state(arrays: dict[str, np.ndarray], level: int = 1) -> bytes:
+    """Serialize named arrays, dtypes preserved, into one payload."""
+    return MAGIC + zlib.compress(pack_arrays(arrays), level)
 
 
 def decode_state(payload: bytes) -> StateDict:
-    """Inverse of :func:`encode_state` (dequantizes int8 payloads)."""
-    magic, body = payload[:4], payload[4:]
-    if magic in (b"ZLB0", b"Q8Z0"):
-        body = zlib.decompress(body)
-    elif magic not in (b"RAW0", b"Q8R0"):
-        raise ValueError(f"unknown payload magic {magic!r}")
-    with np.load(io.BytesIO(body)) as archive:
-        if magic in (b"Q8Z0", b"Q8R0"):
-            out: StateDict = {}
-            for name in archive.files:
-                if not name.endswith("::q"):
-                    continue
-                key = name[:-3]
-                scale = float(archive[f"{key}::s"])
-                out[key] = archive[name].astype(np.float32) * scale
-            return out
-        return {k: archive[k].copy() for k in archive.files}
+    """Inverse of :func:`encode_state`.  Raises ``ValueError`` on a
+    wrong magic, a corrupt or truncated zlib stream, or trailing
+    bytes."""
+    if payload[:4] != MAGIC:
+        raise ValueError(f"payload magic {payload[:4]!r} is not {MAGIC!r}")
+    stream = zlib.decompressobj()
+    try:
+        body = stream.decompress(memoryview(payload)[4:])
+    except zlib.error as exc:
+        raise ValueError(f"corrupt payload: {exc}") from None
+    if not stream.eof:
+        raise ValueError("truncated payload: the zlib stream ends early")
+    if stream.unused_data:
+        raise ValueError(
+            f"corrupt payload: {len(stream.unused_data)} bytes after the zlib stream")
+    return _unpack_arrays(body)
 
 
 # ----------------------------------------------------------------------

@@ -102,10 +102,11 @@ class TestLink:
         assert link.messages_sent == 1
 
     def test_compression_toggle(self, rng):
+        link = Link()
         state = {"w": np.zeros((64, 64), dtype=np.float32)}
-        compressed = Link(compress=True).send_state(state, "a", "b")
-        raw = Link(compress=False).send_state(state, "a", "b")
-        assert compressed.nbytes < raw.nbytes
+        link.recv_state(link.send_state(state, "a", "b"))
+        assert link.bytes_sent < link.raw_bytes_sent
+        assert link.bytes_received < link.raw_bytes_received
 
     def test_reset_counters(self, rng):
         link = Link()

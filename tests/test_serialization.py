@@ -63,20 +63,21 @@ class TestVectorRoundtrip:
 class TestByteEncoding:
     def test_compressed_roundtrip(self, rng):
         state = sample_state(rng)
-        back = decode_state(encode_state(state, compress=True))
+        back = decode_state(encode_state(state))
         for k in state:
             np.testing.assert_array_equal(back[k], state[k])
 
     def test_raw_roundtrip(self, rng):
+        # zlib level 0 stores the packed arrays uncompressed.
         state = sample_state(rng)
-        back = decode_state(encode_state(state, compress=False))
+        back = decode_state(encode_state(state, 0))
         for k in state:
             np.testing.assert_array_equal(back[k], state[k])
 
     def test_compression_shrinks_redundant_payloads(self):
         state = {"w": np.zeros((256, 256), dtype=np.float32)}
-        compressed = encode_state(state, compress=True)
-        raw = encode_state(state, compress=False)
+        compressed = encode_state(state, 1)
+        raw = encode_state(state, 0)
         assert len(compressed) < len(raw) / 10
 
     def test_bad_magic_rejected(self):
