@@ -22,6 +22,7 @@ baseline.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 
 import numpy as np
@@ -87,12 +88,177 @@ def kernel_divergence(a: np.ndarray, b: np.ndarray, specials: int = 2) -> float:
     return float(0.5 * np.abs(a[rows] - b[rows]).sum(axis=1).mean())
 
 
+# Lookup-table walk (see :class:`MarkovSource`).  ``u`` in [0, 1)
+# falls in bucket ``floor(u * 2**_BUCKET_BITS)``; scaling a double by
+# a power of two is exact, so the bucket is too.
+_BUCKET_BITS = 12
+_BUCKETS = 1 << _BUCKET_BITS
+#: Block length of the speculative walk.
+_BLOCK = 128
+#: Below this many tokens the scalar walk is cheaper than the block
+#: walk's fixed cost of ~2 x ``_BLOCK`` vectorized steps.
+_SCALAR_BELOW = 8192
+
+
+class _Transitions:
+    """Sampling tables of one kernel, shared by every source over it.
+
+    ``rows`` are the cumulative rows without their last value, as
+    Python lists (the scalar walk's ``bisect``).  ``table[b, s]`` is
+    the successor of state ``s`` for every ``u`` in bucket ``b``, or -1
+    where a cumulative value lies strictly inside the bucket and only
+    the exact ``bisect`` decides.  Bucket-major, so a step's flat index
+    is ``b * vocab + s`` with ``b * vocab`` precomputed.
+    """
+
+    def __init__(self, kernel: np.ndarray):
+        vocab = kernel.shape[0]
+        # Without its last value a row counts at most vocab - 1, which
+        # is exactly the clip for u >= cum[-1].
+        cum = np.cumsum(kernel, axis=1)[:, :-1]
+        self.rows = cum.tolist()
+        self.vocab = vocab
+        dtype = np.int8 if vocab <= 127 else np.int16 if vocab <= 32767 else np.int32
+        edges = np.arange(_BUCKETS) / _BUCKETS
+        table = np.empty((_BUCKETS, vocab), dtype=dtype)
+        for state, row in enumerate(cum):
+            # One row at a time keeps the build's scratch at 32 KB.
+            table[:, state] = np.searchsorted(row, edges, side="right")
+            scaled = row[row < 1.0] * _BUCKETS
+            inside = scaled != np.floor(scaled)
+            table[scaled[inside].astype(np.intp), state] = -1
+        self.flat = table.reshape(-1)
+        self.flat.flags.writeable = False  # shared by every source
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_transitions(shape: tuple, blob: bytes) -> _Transitions:
+    return _Transitions(np.frombuffer(blob, dtype=np.float64).reshape(shape))
+
+
+def _transitions(kernel: np.ndarray) -> _Transitions:
+    """The tables of ``kernel``, built once per distinct kernel."""
+    return _cached_transitions(kernel.shape, kernel.tobytes())
+
+
+def _scalar_walk(rows: list, state: int, uniforms: list) -> list:
+    """The chain from ``state``, one ``bisect`` per step."""
+    return [state := bisect_right(rows[state], u) for u in uniforms]
+
+
+def _rewalk(rows: list, state: int, uniforms: list, old: list) -> list:
+    """Walk from ``state`` alongside the path ``old`` until the walk
+    meets it; returns the steps before the meeting point (all of them
+    if it never meets)."""
+    new = []
+    for u, seen in zip(uniforms, old):
+        state = bisect_right(rows[state], u)
+        if state == seen:
+            break
+        new.append(state)
+    return new
+
+
+def _block_walk(tables: _Transitions, start: int, uniforms: np.ndarray,
+                block: int = _BLOCK) -> np.ndarray:
+    """The chain from ``start`` driven by ``uniforms``, walked as
+    speculative blocks in lockstep, then repaired (see MarkovSource)."""
+    n = uniforms.size
+    nb = -(-n // block)
+    flat, rows = tables.flat, tables.rows
+    # Row offsets ``bucket * vocab``, laid out (step in block, block)
+    # so one lockstep step reads a contiguous row; padding steps are
+    # walked and discarded.
+    cells = np.zeros(nb * block, dtype=np.int32)
+    np.multiply(uniforms, _BUCKETS, out=cells[:n], casting="unsafe")
+    cells *= tables.vocab
+    cells = np.ascontiguousarray(cells.reshape(nb, block).T)
+    path = np.empty((block, nb), dtype=flat.dtype)
+    cell = np.empty(nb, dtype=np.int32)
+
+    def walk(state: np.ndarray) -> None:
+        """Every block from its entry state, one lockstep step per row."""
+        for j in range(block):
+            # Indices are always in range; "wrap" is just the mode in
+            # which take writes to ``out`` without a buffer.
+            nxt = flat.take(np.add(cells[j], state, out=cell), out=path[j],
+                            mode="wrap")
+            if nxt.min() < 0:  # ambiguous cells: the exact count
+                for lane in np.flatnonzero(nxt < 0).tolist():
+                    u = uniforms[min(lane * block + j, n - 1)]
+                    nxt[lane] = bisect_right(rows[state[lane]], u)
+            state = nxt
+
+    # Pass 1 enters every block at ``start`` (exact for the first
+    # block, a guess for the rest); pass 2 enters each at its
+    # predecessor's pass-1 end, which is exact wherever the pass-1 walk
+    # has merged with the true chain.
+    entry = np.full(nb, start, dtype=np.intp)
+    walk(entry)
+    entry[1:] = path[-1, :-1]
+    walk(entry)
+
+    # Repair, in block order: a block whose entry differs from its
+    # predecessor's (final) end is re-walked one step at a time until
+    # it meets its pass-2 path.  If it never does, its end changed and
+    # the next block is checked too.
+    pending = (np.flatnonzero(path[-1, :-1] != entry[1:]) + 1).tolist()
+    entry = entry.tolist()
+    out = path.T.reshape(-1)[:n].astype(np.int64)
+    i = 0
+    while i < len(pending):
+        k = pending[i]
+        i += 1
+        lo, hi = k * block, min(n, (k + 1) * block)
+        state = int(out[lo - 1])
+        if state == entry[k]:
+            continue
+        new = _rewalk(rows, state, uniforms[lo:hi].tolist(), out[lo:hi].tolist())
+        out[lo:lo + len(new)] = new
+        if lo + len(new) == hi and k + 1 < nb and pending[i:i + 1] != [k + 1]:
+            pending.insert(i, k + 1)
+    return out
+
+
 class MarkovSource:
     """A text source: a Markov kernel plus a seeded sampling stream.
 
     ``sample_tokens(n)`` draws a token sequence; independent shards of
     the same source share the kernel but use distinct RNG streams, so
     shards are IID draws from one distribution (the paper's C4 setup).
+
+    The walk is the recurrence ``s_{i+1} = min(#{c in cum[s_i] : c <=
+    u_i}, vocab - 1)`` over one start draw ``rng.integers`` and ``n``
+    uniforms ``rng.random(n)``; every ``n`` draws exactly those, so
+    tokens and the generator's state afterwards do not depend on how
+    the recurrence is evaluated.  Short calls evaluate it one step at
+    a time (``bisect`` on the cumulative row).  Calls of at least
+    ``_SCALAR_BELOW`` tokens (every token-cache build) use a
+    block-parallel walk that gives the same tokens:
+
+    * **Lookup table**, built once per kernel: ``u * 2**12`` is exact,
+      so its floor names a bucket, and ``table[bucket, s]`` holds the
+      successor for every ``u`` in the bucket.  Where a cumulative
+      value lies strictly inside a bucket the cell is -1 and that
+      step takes the exact ``bisect`` (under 0.1% of cells on C4).
+    * **Speculative blocks**: the chain is cut into blocks of
+      ``_BLOCK`` steps, all walked in lockstep, one vector gather per
+      step.  Pass 1 enters every block at the start state, a guess for
+      all but the first; pass 2 enters each block at its predecessor's
+      pass-1 end.  Two walks driven by the same uniforms meet and then
+      agree for good (on the C4 kernel half of them meet within ~30
+      steps, 93% within one block), so most pass-2 entries are exact.
+    * **Repair**, in block order: a block whose entry differs from its
+      predecessor's final end is re-walked one step at a time until it
+      meets its pass-2 path, after which that path is already the
+      chain's.  A block that never meets changed its end, so the next
+      block is checked in turn.  Every block is then a walk from its
+      predecessor's final end, which is the recurrence exactly.
+
+    Worst case: a kernel whose walks never meet (a permutation) leaves
+    every block to the repair, so the call costs a scalar walk plus the
+    two lockstep passes: ~2x the scalar path at ``_SCALAR_BELOW``
+    tokens, ~1.2x at 65,536 (measured on a 2-core host).
     """
 
     def __init__(self, kernel: np.ndarray, seed: int, name: str = "source",
@@ -100,6 +266,8 @@ class MarkovSource:
         kernel = np.asarray(kernel, dtype=np.float64)
         if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
             raise ValueError("kernel must be square")
+        if not np.isfinite(kernel).all() or (kernel < 0).any():
+            raise ValueError("kernel entries must be finite and non-negative")
         row_sums = kernel.sum(axis=1)
         if not np.allclose(row_sums, 1.0, atol=1e-8):
             raise ValueError("kernel rows must sum to 1")
@@ -107,32 +275,20 @@ class MarkovSource:
         self.name = name
         self.specials = specials
         self._rng = np.random.default_rng(seed)
-        self._cum = np.cumsum(kernel, axis=1)
-        # Python-list rows for the sampling walk: bisect on a list is
-        # an order of magnitude faster than scalar np.searchsorted
-        # calls, with identical results (same comparisons, same
-        # side='right' semantics) — this is the hot path when lazily
-        # materialized clients rebuild their token caches.
-        self._cum_rows = self._cum.tolist()
+        self._tables = _transitions(kernel)
         self.vocab = kernel.shape[0]
 
     def sample_tokens(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Sample ``n`` tokens by walking the chain (bisect over
-        cumulative rows, one lookup per step)."""
+        """Sample ``n`` tokens by walking the chain."""
         rng = rng or self._rng
-        out = np.empty(n, dtype=np.int64)
         state = int(rng.integers(self.specials, self.vocab))
+        tables = self._tables
+        if n >= _SCALAR_BELOW:
+            return _block_walk(tables, state, rng.random(n))
         # .tolist() keeps the exact float64 values; bisect_right on a
         # Python list == np.searchsorted(row, u, side="right").
-        uniforms = rng.random(n).tolist()
-        rows = self._cum_rows
-        last = self.vocab - 1
-        for i, u in enumerate(uniforms):
-            state = bisect_right(rows[state], u)
-            if state > last:
-                state = last
-            out[i] = state
-        return out
+        walk = _scalar_walk(tables.rows, state, rng.random(n).tolist())
+        return np.array(walk, dtype=np.int64)
 
     def entropy_rate(self) -> float:
         """Entropy rate in nats under the stationary distribution —

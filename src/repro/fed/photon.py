@@ -114,7 +114,8 @@ class Photon:
         client id → :class:`~repro.data.stream.BatchStream`.
     heterogeneity:
         For the Pile corpus: 0 collapses all sources onto one kernel
-        (IID control), 1 keeps them fully distinct.
+        (IID control), 1 keeps them fully distinct.  Must lie in
+        [0, 1] for every corpus.
     walltime_config / comm_topology:
         Optional analytic wall-clock accounting (Appendix B.1).
     uptime:
@@ -183,6 +184,9 @@ class Photon:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if not 0.0 < uptime <= 1.0:
             raise ValueError(f"uptime must be in (0, 1], got {uptime}")
+        if not 0.0 <= heterogeneity <= 1.0:  # NaN fails too
+            raise ValueError(
+                f"heterogeneity must be in [0, 1], got {heterogeneity}")
         if client_speed_spread < 1.0:
             raise ValueError(
                 f"client_speed_spread must be >= 1, got {client_speed_spread}"

@@ -1,9 +1,11 @@
-"""Shared test utilities: finite-difference gradient checking and the
-crash-injection checkpoint/resume harness."""
+"""Shared test utilities: finite-difference gradient checking, the
+crash-injection checkpoint/resume harness, and the scalar Markov-walk
+oracle with its worst-case kernel."""
 
 from __future__ import annotations
 
 import tempfile
+from bisect import bisect_right
 from dataclasses import asdict
 
 import numpy as np
@@ -107,3 +109,37 @@ def check_gradients(op, arrays: list[np.ndarray], atol: float = 1e-2,
             t.grad, expected, atol=atol, rtol=rtol,
             err_msg=f"gradient mismatch for operand {i}",
         )
+
+
+def markov_walk_oracle(kernel: np.ndarray, n: int, rng, specials: int = 2) -> np.ndarray:
+    """``MarkovSource.sample_tokens`` as one scalar loop: the reference
+    every faster walk must reproduce token for token.
+
+    Draws the start state with ``rng.integers`` and ``n`` uniforms with
+    ``rng.random``, then takes one ``bisect`` on the cumulative row per
+    step, clipped to the last id when ``u >= cum[-1]``.
+    """
+    rows = np.cumsum(kernel, axis=1).tolist()
+    last = kernel.shape[0] - 1
+    state = int(rng.integers(specials, kernel.shape[0]))
+    out = np.empty(n, dtype=np.int64)
+    for i, u in enumerate(rng.random(n).tolist()):
+        state = bisect_right(rows[state], u)
+        if state > last:
+            state = last
+        out[i] = state
+    return out
+
+
+def permutation_kernel(vocab: int, seed: int = 0) -> np.ndarray:
+    """A kernel whose emittable states each have exactly one successor,
+    so walks from different states never meet: the block-parallel
+    walk's worst case.  One cycle through every emittable state, in a
+    shuffled order; its length (vocab - 2) should not divide the block
+    length, or the guessed block entries would be right by periodicity.
+    """
+    kernel = np.zeros((vocab, vocab))
+    kernel[0, 0] = kernel[1, 1] = 1.0
+    order = np.random.default_rng(seed).permutation(np.arange(2, vocab))
+    kernel[order, np.roll(order, -1)] = 1.0
+    return kernel

@@ -143,6 +143,14 @@ class TestUsageErrors:
         self.expect_error(["train", "--max-lr", "nan"], capsys,
                           "max_lr must be finite")
 
+    @pytest.mark.parametrize("value", ["-1", "1.5", "nan"])
+    @pytest.mark.parametrize("corpus", ["c4", "pile"])
+    def test_heterogeneity_outside_unit_interval(self, capsys, corpus, value):
+        self.expect_error(
+            ["train", "--corpus", corpus, "--clients", "4", "--sampled", "4",
+             "--heterogeneity", value],
+            capsys, "heterogeneity must be in [0, 1]")
+
     def test_impossible_deadline(self, capsys):
         # Unit clock (no --walltime): every cycle costs 1 simulated
         # second, so a 0.5 s deadline can never admit an update.

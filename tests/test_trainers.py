@@ -166,6 +166,15 @@ class TestPhotonFacade:
         with pytest.raises(ValueError):
             self.make_photon(corpus="wikitext")
 
+    @pytest.mark.parametrize("corpus", ["c4", "pile"])
+    @pytest.mark.parametrize("heterogeneity", [-1.0, 1.5, float("nan")])
+    def test_heterogeneity_outside_unit_interval(self, corpus, heterogeneity):
+        with pytest.raises(ValueError, match="heterogeneity must be in"):
+            self.make_photon(
+                fed_config=FedConfig(population=4, clients_per_round=4,
+                                     local_steps=1, rounds=1),
+                corpus=corpus, heterogeneity=heterogeneity)
+
     @pytest.mark.slow
     def test_partial_participation_built(self):
         from repro.fed import UniformSampler
